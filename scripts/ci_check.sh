@@ -28,6 +28,12 @@ echo "=== tier-1: pytest (tests/ + benchmarks/) ==="
 python -m pytest -x -q "$@"
 
 echo
+echo "=== benchmark self-test: perfbench wrappers, ledger closure, answer checks ==="
+# perfbench/ledger.py wraps program functions by name; this fails here,
+# not at the next benchmark run, when a refactor renames one of them.
+python perfbench/selftest.py
+
+echo
 echo "=== backend parity smoke + perf-regression guard ==="
 # Bit-exact agreement of all distance backends with the naive oracle, then
 # the packed uint64 kernel re-timed on the 256-neuron/1024-batch cell

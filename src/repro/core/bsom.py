@@ -65,7 +65,7 @@ from repro.core.backends import (
     PreparedOperandCache,
     resolve_backend,
 )
-from repro.core.som import SelfOrganisingMap, validate_binary_matrix
+from repro.core.som import SelfOrganisingMap
 from repro.core.topology import (
     LinearTopology,
     NeighbourhoodSchedule,
@@ -304,8 +304,7 @@ class BinarySom(SelfOrganisingMap):
         x = self._validate_input(x)
         return self._backend.batch_one(self._operands(), x)
 
-    def distance_matrix(self, X: np.ndarray, *, validate: bool = True) -> np.ndarray:
-        X = validate_binary_matrix(X, self.n_bits, validate=validate)
+    def _distance_matrix(self, X: np.ndarray) -> np.ndarray:
         return self._backend.pairwise(self._operands(), X)
 
     def distance_matrix_packed(self, input_words: np.ndarray) -> np.ndarray:

@@ -242,7 +242,7 @@ class SomClassifier:
             label=label, neuron=neuron, distance=distance, rejected=rejected
         )
 
-    def predict_batch(self, X: np.ndarray, *, validate: bool = True) -> BatchPrediction:
+    def predict_batch(self, X: np.ndarray) -> BatchPrediction:
         """Classify every row of ``X`` in one vectorised pass.
 
         A single ``distance_matrix`` call (one distance-backend kernel
@@ -252,15 +252,14 @@ class SomClassifier:
         :meth:`predict_one` per row -- the regression tests assert exact
         agreement, including rejection and unlabelled-winner cases.
 
-        ``validate=False`` skips the zeros-and-ones scan of ``X`` for
-        trusted internal callers (the serve shard validates each signature
-        once at ``submit`` time); shape and width are still checked.
+        ``X`` is checked once here; the map then scores it through its
+        unchecked :meth:`~repro.core.som.SelfOrganisingMap._distance_matrix`.
+        The serve shard does not come through here: it hands packed words
+        to :meth:`predict_batch_packed`.
         """
         self._require_fitted()
-        X = validate_binary_matrix(X, self.som.n_bits, validate=validate)
-        # X is validated (or trusted) here, so the map may skip re-scanning.
-        distances = self.som.distance_matrix(X, validate=False)
-        return self._predict_from_distances(distances)
+        X = validate_binary_matrix(X, self.som.n_bits)
+        return self._predict_from_distances(self.som._distance_matrix(X))
 
     def predict_batch_packed(self, input_words: np.ndarray) -> BatchPrediction:
         """Classify signatures already packed into ``uint64`` words.
@@ -270,15 +269,15 @@ class SomClassifier:
         word rows, and the bSOM scores them straight against its cached
         packed bit-planes -- no per-request re-packing or re-validation.
         Maps without a packed query path (the cSOM) transparently unpack
-        and fall back to :meth:`predict_batch`.
+        and score the bits unchecked -- unpacked words are zeros and ones
+        by construction.
         """
         self._require_fitted()
         input_words = np.atleast_2d(np.asarray(input_words, dtype=np.uint64))
         packed_query = getattr(self.som, "distance_matrix_packed", None)
         if packed_query is None:
-            return self.predict_batch(
-                unpack_words_to_bits(input_words, self.som.n_bits), validate=False
-            )
+            bits = unpack_words_to_bits(input_words, self.som.n_bits)
+            return self._predict_from_distances(self.som._distance_matrix(bits))
         return self._predict_from_distances(packed_query(input_words))
 
     def _predict_from_distances(self, distances: np.ndarray) -> BatchPrediction:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._rng import SeedLike, as_generator
-from repro.core.som import SelfOrganisingMap, validate_binary_matrix
+from repro.core.som import SelfOrganisingMap
 from repro.core.topology import (
     LinearTopology,
     NeighbourhoodSchedule,
@@ -154,8 +154,8 @@ class KohonenSom(SelfOrganisingMap):
         diff = self._weights - x[np.newaxis, :]
         return np.einsum("ij,ij->i", diff, diff)
 
-    def distance_matrix(self, X: np.ndarray, *, validate: bool = True) -> np.ndarray:
-        X = validate_binary_matrix(X, self.n_bits, validate=validate).astype(np.float64)
+    def _distance_matrix(self, X: np.ndarray) -> np.ndarray:
+        X = X.astype(np.float64)
         # Squared Euclidean distance via the expansion |w|^2 - 2 x.w + |x|^2.
         w_norms = np.einsum("ij,ij->i", self._weights, self._weights)
         x_norms = np.einsum("ij,ij->i", X, X)

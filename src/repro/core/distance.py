@@ -48,30 +48,28 @@ Re-measure with :func:`repro.core.backends.calibrate_backend` on hosts
 whose BLAS/popcount balance differs (e.g. a multi-threaded wide-SIMD
 BLAS shifts the crossover toward ``gemm``).
 
-Validation of the zeros-and-ones invariant costs an O(n log n)
-``np.unique`` scan per call, so every batch function takes
-``validate=False`` for trusted internal callers (``predict_batch``, the
-serve shard) that validated at the API boundary; external entry points
-keep the default.
+Every function here checks that its binary inputs hold only zeros and
+ones, with the library's one O(n) value test
+(:func:`repro.core.tristate.only_states`).  There is no switch to skip it:
+trusted internal callers (``predict_batch``, the serve shard) score through
+the backends, which never re-check.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.tristate import DONT_CARE
+from repro.core.tristate import DONT_CARE, only_states
 from repro.errors import DataError, DimensionMismatchError
 
 
-def _as_binary_vector(
-    x: np.ndarray, name: str = "input", *, validate: bool = True
-) -> np.ndarray:
+def _as_binary_vector(x: np.ndarray, name: str = "input") -> np.ndarray:
     x = np.asarray(x)
     if x.ndim != 1:
         raise DataError(f"{name} must be a one-dimensional vector, got shape {x.shape}")
     if x.size == 0:
         raise DataError(f"{name} must not be empty")
-    if validate and not np.all(np.isin(np.unique(x), (0, 1))):
+    if not only_states(x, 1):
         raise DataError(f"{name} must contain only zeros and ones")
     return x.astype(np.int8)
 
@@ -102,9 +100,7 @@ def masked_hamming_distance(weights: np.ndarray, x: np.ndarray) -> int:
     return int(np.count_nonzero(care & (weights != x)))
 
 
-def batch_masked_hamming(
-    weights: np.ndarray, x: np.ndarray, *, validate: bool = True
-) -> np.ndarray:
+def batch_masked_hamming(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Masked Hamming distance from every tri-state neuron to one input.
 
     This is the software equivalent of the FPGA's parallel Hamming-distance
@@ -116,9 +112,6 @@ def batch_masked_hamming(
         ``(n_neurons, n_bits)`` tri-state matrix over ``{0, 1, DONT_CARE}``.
     x:
         Binary input vector of length ``n_bits``.
-    validate:
-        Skip the zeros-and-ones scan of ``x`` when ``False`` (trusted
-        callers only).
 
     Returns
     -------
@@ -126,7 +119,7 @@ def batch_masked_hamming(
         Integer distances of shape ``(n_neurons,)``.
     """
     weights = np.asarray(weights)
-    x = _as_binary_vector(x, validate=validate)
+    x = _as_binary_vector(x)
     if weights.ndim != 2:
         raise DataError(
             f"weights must be a 2-D (n_neurons, n_bits) matrix, got shape {weights.shape}"
@@ -147,14 +140,12 @@ def batch_binary_hamming(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
         )
     if weights.shape[1] != x.size:
         raise DimensionMismatchError(weights.shape[1], x.size, "input vector")
-    if weights.size and not np.all(np.isin(np.unique(weights), (0, 1))):
+    if not only_states(weights, 1):
         raise DataError("binary weights must contain only zeros and ones")
     return np.count_nonzero(weights != x[np.newaxis, :], axis=1).astype(np.int64)
 
 
-def pairwise_masked_hamming(
-    weights: np.ndarray, inputs: np.ndarray, *, validate: bool = True
-) -> np.ndarray:
+def pairwise_masked_hamming(weights: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """Masked Hamming distances between every neuron and every input.
 
     Parameters
@@ -163,9 +154,6 @@ def pairwise_masked_hamming(
         ``(n_neurons, n_bits)`` tri-state matrix.
     inputs:
         ``(n_samples, n_bits)`` binary matrix.
-    validate:
-        Skip the zeros-and-ones scan of ``inputs`` when ``False`` (trusted
-        callers that validated at the API boundary).
 
     Returns
     -------
@@ -193,7 +181,7 @@ def pairwise_masked_hamming(
         raise DataError("weights and inputs must both be 2-D matrices")
     if weights.shape[1] != inputs.shape[1]:
         raise DimensionMismatchError(weights.shape[1], inputs.shape[1], "input matrix")
-    if validate and inputs.size and not np.all(np.isin(np.unique(inputs), (0, 1))):
+    if not only_states(inputs, 1):
         raise DataError("inputs must contain only zeros and ones")
     ones = (weights == 1).astype(np.float32)
     zeros = (weights == 0).astype(np.float32)

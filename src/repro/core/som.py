@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro._rng import SeedLike, as_generator
+from repro.core.tristate import only_states
 from repro.errors import ConfigurationError, DataError, DimensionMismatchError
 
 
@@ -54,10 +55,13 @@ class TrainingHistory:
         self.neighbourhood_radii.append(int(radius))
 
 
-def validate_binary_matrix(
-    X: np.ndarray, n_bits: int | None = None, *, validate: bool = True
-) -> np.ndarray:
+def validate_binary_matrix(X: np.ndarray, n_bits: int | None = None) -> np.ndarray:
     """Validate a 2-D binary training matrix and return it as ``int8``.
+
+    The check every public matrix entry point runs once.  Internal
+    hand-offs of an already-validated matrix (``predict_batch`` to the
+    map) call :meth:`SelfOrganisingMap._distance_matrix` instead of
+    checking again.
 
     Parameters
     ----------
@@ -65,13 +69,6 @@ def validate_binary_matrix(
         ``(n_samples, n_bits)`` array of zeros and ones.
     n_bits:
         When given, the expected number of columns.
-    validate:
-        When ``False``, skip the O(n log n) zeros-and-ones value check
-        (``np.unique``/``np.isin``) and only normalise shape and dtype.
-        Trusted internal callers -- ``predict_batch`` re-scoring data it
-        already validated, the serve shard scoring signatures validated at
-        ``submit`` time -- use this fast path; API boundaries keep the
-        default.
     """
     X = np.asarray(X)
     if X.ndim == 1:
@@ -80,7 +77,7 @@ def validate_binary_matrix(
         raise DataError(f"training data must be a 2-D matrix, got shape {X.shape}")
     if X.shape[0] == 0 or X.shape[1] == 0:
         raise DataError(f"training data must be non-empty, got shape {X.shape}")
-    if validate and not np.all(np.isin(np.unique(X), (0, 1))):
+    if not only_states(X, 1):
         raise DataError("training data must contain only zeros and ones")
     if n_bits is not None and X.shape[1] != n_bits:
         raise DimensionMismatchError(n_bits, X.shape[1], "training data")
@@ -108,13 +105,14 @@ class SelfOrganisingMap(ABC):
     def distances(self, x: np.ndarray) -> np.ndarray:
         """Dissimilarity of every neuron to the binary input ``x``."""
 
-    @abstractmethod
-    def distance_matrix(self, X: np.ndarray, *, validate: bool = True) -> np.ndarray:
-        """``(n_samples, n_neurons)`` dissimilarities for a whole dataset.
+    def distance_matrix(self, X: np.ndarray) -> np.ndarray:
+        """``(n_samples, n_neurons)`` dissimilarities for a whole dataset."""
+        return self._distance_matrix(validate_binary_matrix(X, self.n_bits))
 
-        ``validate=False`` skips the per-call zeros-and-ones scan for
-        trusted callers that validated ``X`` at the API boundary already.
-        """
+    @abstractmethod
+    def _distance_matrix(self, X: np.ndarray) -> np.ndarray:
+        """:meth:`distance_matrix` for a 2-D matrix already known to hold
+        only zeros and ones at the map's width (no re-check)."""
 
     def winner(self, x: np.ndarray) -> int:
         """Index of the best-matching unit for ``x`` (ties -> lowest index).
@@ -233,6 +231,6 @@ class SelfOrganisingMap(ABC):
             raise DataError(f"input must be a one-dimensional vector, got shape {x.shape}")
         if x.shape[0] != self.n_bits:
             raise DimensionMismatchError(self.n_bits, x.shape[0])
-        if not np.all(np.isin(np.unique(x), (0, 1))):
+        if not only_states(x, 1):
             raise DataError("input vector must contain only zeros and ones")
         return x.astype(np.int8)

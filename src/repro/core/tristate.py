@@ -26,15 +26,35 @@ from repro.errors import ConfigurationError, DataError
 #: Sentinel value used for the ``#`` (don't care) state in int8 arrays.
 DONT_CARE: int = 2
 
-_VALID_STATES = (0, 1, DONT_CARE)
+
+def only_states(values: np.ndarray, maximum: int) -> bool:
+    """Whether every element of ``values`` is one of the states ``0..maximum``.
+
+    The library's one value check: ``maximum`` is 1 for binary bits and
+    :data:`DONT_CARE` for tri-state weights.  It is O(n) with no sort.
+    Integer and boolean arrays need only their range (vectorised min/max
+    reductions; unsigned and boolean ones cannot be negative).  Any other
+    dtype is compared state by state, so fractions, negatives and NaN
+    fail.  An empty array passes; callers check sizes themselves.
+    """
+    values = np.asarray(values)
+    kind = values.dtype.kind
+    if kind in "biu":
+        return values.size == 0 or (
+            (kind != "i" or int(values.min()) >= 0) and int(values.max()) <= maximum
+        )
+    valid = values == 0
+    for state in range(1, maximum + 1):
+        valid |= values == state
+    return bool(np.all(valid))
 
 
 def _validate_states(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values)
-    if values.size and not np.all(np.isin(np.unique(values), _VALID_STATES)):
+    if not only_states(values, DONT_CARE):
         raise DataError(
             f"tri-state values must be 0, 1 or {DONT_CARE} (don't care); got "
-            f"values {sorted(np.unique(values).tolist())}"
+            f"{values.dtype} values outside that set"
         )
     return values.astype(np.int8)
 
@@ -136,9 +156,9 @@ class TriStateWeights:
                 f"value plane shape {value.shape} does not match care plane shape "
                 f"{care.shape}"
             )
-        if value.size and not np.all(np.isin(np.unique(value), (0, 1))):
+        if not only_states(value, 1):
             raise DataError("value plane must be binary")
-        if care.size and not np.all(np.isin(np.unique(care), (0, 1))):
+        if not only_states(care, 1):
             raise DataError("care plane must be binary")
         states = np.where(care == 1, value, DONT_CARE)
         return cls(states.astype(np.int8))
@@ -169,7 +189,7 @@ class TriStateWeights:
 def tristate_from_binary(bits: np.ndarray) -> TriStateWeights:
     """Promote plain binary vectors to tri-state weights (no ``#`` states)."""
     bits = np.asarray(bits)
-    if bits.size and not np.all(np.isin(np.unique(bits), (0, 1))):
+    if not only_states(bits, 1):
         raise DataError("binary weights must contain only zeros and ones")
     return TriStateWeights(bits.astype(np.int8))
 

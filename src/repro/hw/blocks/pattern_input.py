@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.tristate import only_states
 from repro.errors import ConfigurationError, DimensionMismatchError, HardwareModelError
 from repro.hw.clock import ClockDomain
 
@@ -73,7 +74,7 @@ class PatternInputBlock:
             pattern = pattern.reshape(-1)
         if pattern.ndim != 1 or pattern.size != self.n_bits:
             raise DimensionMismatchError(self.n_bits, pattern.size, "input pattern")
-        if pattern.size and not np.all(np.isin(np.unique(pattern), (0, 1))):
+        if not only_states(pattern, 1):
             raise HardwareModelError("input pattern must be binary")
         self._bits_received = 0
         for bit_index in range(self.n_bits):

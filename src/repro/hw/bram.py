@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.tristate import only_states
 from repro.errors import ConfigurationError, HardwareModelError
 
 #: Usable data bits per Virtex-4 RAMB16 primitive.
@@ -69,7 +70,7 @@ class BlockRam:
                 f"{self.name}: word of shape {word.shape} does not match width "
                 f"{self.word_width}"
             )
-        if word.size and not np.all(np.isin(np.unique(word), (0, 1))):
+        if not only_states(word, 1):
             raise HardwareModelError(f"{self.name}: words must be binary")
         self._data[address] = word.astype(np.uint8)
         self.write_count += 1
@@ -88,7 +89,7 @@ class BlockRam:
                 f"{self.name}: bit index {bit_index} out of range for width "
                 f"{self.word_width}"
             )
-        if value not in (0, 1):
+        if not only_states(value, 1):
             raise HardwareModelError(f"{self.name}: bit value must be 0 or 1")
         self._data[address, bit_index] = value
         self.write_count += 1

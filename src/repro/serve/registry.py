@@ -19,9 +19,10 @@ Two lifecycle operations keep futures honest:
   batches with :class:`~repro.errors.ModelEvictedError` instead of leaving
   their futures to hang.
 
-The registry works standalone (futures are resolved directly by a default
-completion path) or bound to a :class:`~repro.serve.service.StreamingInferenceService`,
-which replaces the completion callback to add caching and telemetry.
+The registry works standalone (futures are resolved directly by default
+completion and failure paths) or bound to a
+:class:`~repro.serve.service.StreamingInferenceService`, which replaces
+both callbacks to add caching, telemetry and pending-budget accounting.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from repro.errors import (
 )
 from repro.obs.events import EventLog
 from repro.serve.batching import MicroBatch
-from repro.serve.request import resolve_requests
+from repro.serve.request import fail_requests, resolve_requests
 from repro.serve.resilience import SWAP_FAILURE, FaultInjector
 from repro.serve.shard import BreakerGate, ShardGroup, WorkerShard
 
@@ -145,9 +146,9 @@ class ModelRegistry:
         self._completion: Callable[[WorkerShard, MicroBatch, BatchPrediction], None] = (
             self._default_completion
         )
-        self._failure: Optional[
-            Callable[[WorkerShard, MicroBatch, BaseException], None]
-        ] = None
+        self._failure: Callable[[WorkerShard, MicroBatch, BaseException], None] = (
+            self._default_failure
+        )
         self._retired: Optional[Callable[[str], None]] = None
 
     # ------------------------------------------------------------------ #
@@ -157,7 +158,15 @@ class ModelRegistry:
     def _default_completion(
         shard: WorkerShard, batch: MicroBatch, prediction: BatchPrediction
     ) -> None:
-        resolve_requests(batch.requests, prediction, clock=time.monotonic)
+        responses = resolve_requests(batch.requests, prediction, clock=time.monotonic)
+        for request, response in zip(batch.requests, responses):
+            request.pending.set_result(response)
+
+    @staticmethod
+    def _default_failure(
+        shard: WorkerShard, batch: MicroBatch, error: BaseException
+    ) -> None:
+        fail_requests(batch.requests, error)
 
     def bind_completion(
         self,
@@ -176,7 +185,7 @@ class ModelRegistry:
         the registry rather than through the service's own entry points.
         """
         self._completion = completion
-        self._failure = failure
+        self._failure = failure or self._default_failure
         self._retired = retired
 
     def bind_breakers(self, gate: BreakerGate) -> None:
@@ -221,10 +230,8 @@ class ModelRegistry:
     def _dispatch_failure(
         self, shard: WorkerShard, batch: MicroBatch, error: BaseException
     ) -> None:
-        # The shard has already delivered the error to the batch's futures;
-        # this hook exists for service-side accounting.
-        if self._failure is not None:
-            self._failure(shard, batch, error)
+        # Late-bound like completion; the hook owns the batch's futures.
+        self._failure(shard, batch, error)
 
     # ------------------------------------------------------------------ #
     # Registration and loading

@@ -2,7 +2,7 @@
 
 A camera stream submits one :class:`ClassificationRequest` per silhouette
 signature and receives a :class:`PendingResult` -- a small future that the
-worker shard resolves with a :class:`ClassificationResponse` once the
+completion path resolves with a :class:`ClassificationResponse` once the
 request's micro-batch has been classified (or immediately, on a cache hit).
 
 The objects are deliberately dumb: all scheduling, caching and routing
@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.errors import ResultTimeoutError
+from repro.errors import ResultTimeoutError, ServiceError
 from repro.obs.trace import Trace
 
 
@@ -84,34 +84,47 @@ class ClassificationResponse:
 class PendingResult:
     """A minimal thread-safe future for one in-flight request.
 
-    ``concurrent.futures.Future`` would work, but this variant is a few
-    lines, cannot be cancelled half-way through a shard's resolve loop, and
-    keeps the serving layer dependency-free.
+    The wait primitive is one lock, taken at construction and released by
+    the single :meth:`set_result` / :meth:`set_exception` call; waiters
+    acquire and hand it straight back.  That is cheaper than a
+    ``threading.Event`` (no condition variable per request) and makes
+    "resolved exactly once" structural: a second resolution raises
+    instead of silently replacing the answer.
     """
 
-    __slots__ = ("_event", "_response", "_error")
+    __slots__ = ("_lock", "_done", "_response", "_error")
 
     def __init__(self) -> None:
-        self._event = threading.Event()
+        self._lock = threading.Lock()
+        self._lock.acquire()
+        self._done = False
         self._response: Optional[ClassificationResponse] = None
         self._error: Optional[BaseException] = None
 
     def done(self) -> bool:
         """Whether a response (or error) has been delivered."""
-        return self._event.is_set()
+        return self._done
 
     def set_result(self, response: ClassificationResponse) -> None:
         self._response = response
-        self._event.set()
+        self._resolve()
 
     def set_exception(self, error: BaseException) -> None:
         self._error = error
-        self._event.set()
+        self._resolve()
+
+    def _resolve(self) -> None:
+        if self._done:
+            raise ServiceError("a PendingResult was resolved twice")
+        self._done = True
+        self._lock.release()
 
     def result(self, timeout: Optional[float] = None) -> ClassificationResponse:
         """Block until the response arrives; re-raise shard-side errors."""
-        if not self._event.wait(timeout):
-            raise ResultTimeoutError(timeout)
+        if not self._done:
+            if not self._lock.acquire(timeout=-1 if timeout is None else max(timeout, 0)):
+                raise ResultTimeoutError(timeout)
+            self._lock.release()
         if self._error is not None:
             raise self._error
         assert self._response is not None
@@ -122,12 +135,12 @@ class PendingResult:
 class ClassificationRequest:
     """One signature queued for micro-batched classification.
 
-    ``packed`` carries the signature as ``uint64`` words
-    (:func:`repro.signatures.packing.packed_signature_words`), produced
-    once at submit time together with ``cache_key`` (the words' raw
-    bytes).  Shards score an all-packed batch straight against the bSOM's
-    cached bit-planes without re-packing or re-validating; ``signature``
-    is retained for models without a packed query path.
+    ``packed`` is the request's only copy of its signature: ``uint64``
+    words (:func:`repro.signatures.packing.packed_signature_words`),
+    checked and packed once at submit time together with ``cache_key``
+    (the words' raw bytes).  Shards stack the words and score them with
+    :meth:`~repro.core.classifier.SomClassifier.predict_batch_packed`,
+    which unpacks only for maps without a packed query path (the cSOM).
 
     ``generation`` stamps the model generation current at submit time (the
     service bumps it on every hot-swap/evict) so the completion path never
@@ -148,13 +161,12 @@ class ClassificationRequest:
     :class:`~repro.errors.DeadlineExceededError`.
     """
 
-    signature: np.ndarray
+    packed: np.ndarray
     model: str
     stream_id: str
     request_id: int
     cache_key: bytes
     enqueued_at: float
-    packed: Optional[np.ndarray] = None
     pending: PendingResult = field(default_factory=PendingResult)
     generation: int = 0
     followers: list["ClassificationRequest"] = field(default_factory=list)
@@ -171,11 +183,13 @@ class ClassificationRequest:
 
 
 def resolve_requests(requests, prediction, *, clock) -> list[ClassificationResponse]:
-    """Resolve each request's future from one row of a batch prediction.
+    """Build each request's response from one row of a batch prediction.
 
     Shared by the service's completion path and by a registry used without
     a service: ``prediction`` is the :class:`repro.core.BatchPrediction`
-    for the stacked signatures of ``requests``, in the same order.
+    for the stacked signatures of ``requests``, in the same order.  No
+    future is set here; the caller finishes its own bookkeeping first and
+    then sets the futures.
     """
     responses: list[ClassificationResponse] = []
     now = clock()
@@ -193,7 +207,6 @@ def resolve_requests(requests, prediction, *, clock) -> list[ClassificationRespo
             latency_s=max(0.0, now - request.enqueued_at),
             trace_id=request.trace_id,
         )
-        request.pending.set_result(response)
         responses.append(response)
     return responses
 
@@ -201,14 +214,14 @@ def resolve_requests(requests, prediction, *, clock) -> list[ClassificationRespo
 def resolve_follower(
     follower: ClassificationRequest, response: ClassificationResponse, *, clock
 ) -> ClassificationResponse:
-    """Fan one resolved (primary) response out to a deduplicated follower.
+    """Build a deduplicated follower's copy of its primary's response.
 
     The classification fields are shared -- one kernel execution answered
     the whole group -- but identity and latency are per-request, and the
     response is marked ``deduplicated`` so telemetry and tests can see the
     fan-out.
     """
-    fanned = ClassificationResponse(
+    return ClassificationResponse(
         label=response.label,
         neuron=response.neuron,
         distance=response.distance,
@@ -222,5 +235,15 @@ def resolve_follower(
         deduplicated=True,
         trace_id=follower.trace_id,
     )
-    follower.pending.set_result(fanned)
-    return fanned
+
+
+def fail_requests(requests, error: BaseException) -> None:
+    """Fail every request's future with ``error``, dedup followers included.
+
+    The last step of every failure path: a failed primary answers nobody,
+    so its followers fail with it.
+    """
+    for request in requests:
+        request.pending.set_exception(error)
+        for follower in request.followers:
+            follower.pending.set_exception(error)

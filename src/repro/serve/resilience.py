@@ -587,15 +587,18 @@ class ShardSupervisor:
             else:
                 continue
             error = ShardFailedError(shard.name, reason)
+            # The hooks (metrics, events, breaker) run before the batch's
+            # futures fail, so a caller woken by the failure already sees
+            # the restart -- the service's terminal order.
             if shard.restarts >= self.config.max_restarts:
-                shard.disable(error)
                 if self._on_disabled is not None:
                     self._on_disabled(model, shard.name, reason)
+                shard.disable(error)
                 continue
+            if self._on_restart is not None:
+                self._on_restart(model, shard.name, reason)
             shard.abandon_current(error)
             shard.restart()
             restarted += 1
             self.restarts_performed += 1
-            if self._on_restart is not None:
-                self._on_restart(model, shard.name, reason)
         return restarted

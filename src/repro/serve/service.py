@@ -17,6 +17,13 @@ talks to.  Per request it:
    thread, whose completion path resolves the futures (followers
    included), fills the cache and records the telemetry.
 
+Every terminal path -- success or failure, at submit, at dispatch or in
+a shard -- ends a request in one order: retire its dedup entry, finish its
+trace, release its pending-budget slot, record metrics and events, and
+only then set its future (and its followers').  A caller woken by
+``result()`` therefore always sees that bookkeeping done.  Failures all
+go through one resolver, :meth:`StreamingInferenceService._fail`.
+
 Model lifecycle: :meth:`register_model` / :meth:`swap_model` /
 :meth:`evict_model` accept fitted classifiers or
 :class:`~repro.core.snapshot.ModelSnapshot` objects.  ``swap_model`` is the
@@ -32,6 +39,7 @@ manager: ``with StreamingInferenceService(...) as service: ...``.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from dataclasses import dataclass
@@ -51,6 +59,7 @@ from repro.errors import (
     ShardFailedError,
 )
 from repro.obs import Observability
+from repro.obs.trace import Trace
 from repro.serve.batching import MicroBatch, MicroBatchScheduler
 from repro.serve.cache import CachedOutcome, SignatureLruCache
 from repro.serve.metrics import MetricsSnapshot, ServiceMetrics
@@ -67,6 +76,7 @@ from repro.serve.request import (
     ClassificationRequest,
     ClassificationResponse,
     PendingResult,
+    fail_requests,
     resolve_follower,
     resolve_requests,
 )
@@ -148,18 +158,11 @@ class ServiceConfig:
     fault_injector: Optional[FaultInjector] = None
 
     def __post_init__(self) -> None:
-        if self.batch_size <= 0:
-            raise ConfigurationError(
-                f"batch_size must be positive, got {self.batch_size}"
-            )
-        if self.max_delay_ms <= 0:
-            raise ConfigurationError(
-                f"max_delay_ms must be positive, got {self.max_delay_ms}"
-            )
-        if self.max_pending <= 0:
-            raise ConfigurationError(
-                f"max_pending must be positive, got {self.max_pending}"
-            )
+        for name in ("batch_size", "max_delay_ms", "max_pending"):
+            if getattr(self, name) <= 0:
+                raise ConfigurationError(
+                    f"{name} must be positive, got {getattr(self, name)}"
+                )
         if self.trace_sample_every < 0:
             raise ConfigurationError(
                 "trace_sample_every must be >= 0 (0 disables tracing), "
@@ -213,7 +216,7 @@ class StreamingInferenceService:
             fault_injector=self.config.fault_injector,
         )
         self.registry.bind_completion(
-            self._on_batch_done, self._on_batch_failed, self._on_model_retired
+            self._on_batch_done, self._fail, self._on_model_retired
         )
         self.registry.bind_events(self.obs.events)
         self._clock = clock
@@ -261,14 +264,12 @@ class StreamingInferenceService:
         # so a hot-swap can never leave a superseded prediction in the cache.
         self._generations: dict[str, int] = {}
         self._gen_lock = threading.Lock()
-        self._next_request_id = 0
-        self._id_lock = threading.Lock()
+        # next() on a count is atomic, so request ids need no lock.
+        self._request_ids = itertools.count()
         self._running = False
-        # Guards the running flag against the submit path: stop() flips it
-        # under this lock, and submit() enqueues under it, so no request can
-        # reach the scheduler after stop() has drained the lanes (a stranded
-        # request would leave its future unresolved until the caller's
-        # timeout).
+        # stop() flips the running flag under this lock and submit()
+        # enqueues under it, so no request can reach the scheduler after
+        # stop() has drained the lanes and strand its future.
         self._state_lock = threading.Lock()
         self._stop_event = threading.Event()
         self._wake = threading.Event()
@@ -339,15 +340,10 @@ class StreamingInferenceService:
     def swap_model(self, name: str, model: ModelSource) -> SomClassifier:
         """Hot-reload ``name`` with zero dropped requests; return the old model.
 
-        Delegates the shard flip to :meth:`ModelRegistry.swap` (queued
-        batches ride through; the in-flight batch finishes on the old map);
-        the registry's ``retired`` hook then bumps the model's generation
-        and invalidates its cache entries so no memoised outcome of the
-        superseded map survives -- that hook also covers swaps issued on
-        ``service.registry`` directly.  Requests already queued resolve
-        successfully, scored by whichever map was current at their
-        micro-batch boundary -- exactly the semantics of reflashing the
-        FPGA between patterns.
+        The shards flip at a micro-batch boundary (:meth:`ModelRegistry.swap`),
+        so queued requests are scored by whichever map is current when their
+        batch runs -- reflashing the FPGA between patterns.  The registry's
+        ``retired`` hook then bumps the generation and invalidates the cache.
         """
         previous = self.registry.swap(name, model)  # raises UnknownModelError
         self.metrics.record_swap()
@@ -356,18 +352,14 @@ class StreamingInferenceService:
     def evict_model(self, name: str) -> SomClassifier:
         """Unregister ``name``; every queued future fails promptly and clearly.
 
-        Shard-queued batches are failed by the registry with
-        :class:`~repro.errors.ModelEvictedError`; requests still buffered
-        in this service's scheduler lane are cut and failed here the same
-        way, so no future is left waiting for a deadline flush to discover
-        that the name no longer routes.
+        The registry fails shard-queued batches with
+        :class:`~repro.errors.ModelEvictedError`; the scheduler lane is cut
+        and failed here the same way, without waiting for a deadline flush.
         """
         classifier = self.registry.evict(name)  # fires _on_model_retired
         lane = self.scheduler.cut_lane(name)
         if lane is not None:
-            self._fail_batch(
-                lane, ModelEvictedError(name, self.registry.names()), shed=False
-            )
+            self._fail(None, lane, ModelEvictedError(name, self.registry.names()))
         return classifier
 
     def enable_rollouts(
@@ -375,12 +367,10 @@ class StreamingInferenceService:
     ) -> RolloutManager:
         """Attach the guarded-rollout machinery (idempotent; returns it).
 
-        Once enabled, :meth:`RolloutManager.begin` shadow-evaluates
-        candidates against live traffic, the configured
-        :class:`~repro.serve.rollout.RolloutPolicy` promotes or demotes
-        them automatically, and -- when circuit breakers are configured and
-        ``rollback_on_breaker`` is set -- a breaker opening on a freshly
-        promoted model swaps the previous snapshot back in.
+        :meth:`RolloutManager.begin` then shadow-evaluates candidates on
+        live traffic and the :class:`~repro.serve.rollout.RolloutPolicy`
+        promotes or demotes them; with breakers and ``rollback_on_breaker``
+        a breaker opening on a fresh promotion swaps the previous back in.
         """
         if self._rollout is None:
             self._rollout = RolloutManager(self, config)
@@ -394,25 +384,14 @@ class StreamingInferenceService:
         return self._rollout
 
     def _on_model_retired(self, name: str) -> None:
-        """Registry hook: a swap/evict displaced ``name``'s classifier.
-
-        Runs after the shards have flipped (or torn down), whichever entry
-        point initiated it -- ``swap_model``/``evict_model`` here or
-        ``registry.swap``/``registry.evict`` directly.  Bumping the
-        generation first blocks further cache fills from pre-swap requests;
-        the invalidation then clears anything already memoised.
-        """
-        self._bump_generation(name)
-        dropped = self.cache.invalidate_model(name)
-        self.obs.events.emit("cache_invalidate", model=name, dropped_entries=dropped)
-
-    def _bump_generation(self, name: str) -> None:
+        """Registry hook: a swap/evict (here or on the registry) displaced
+        ``name``'s classifier.  Bumping the generation first blocks further
+        cache fills from pre-swap requests; the invalidation then clears
+        anything already memoised."""
         with self._gen_lock:
             self._generations[name] = self._generations.get(name, 0) + 1
-
-    def _generation_of(self, name: str) -> int:
-        with self._gen_lock:
-            return self._generations.get(name, 0)
+        dropped = self.cache.invalidate_model(name)
+        self.obs.events.emit("cache_invalidate", model=name, dropped_entries=dropped)
 
     # ------------------------------------------------------------------ #
     # Submission
@@ -427,31 +406,25 @@ class StreamingInferenceService:
     ) -> PendingResult:
         """Queue one signature for classification; returns its future.
 
-        Cache hits resolve before this method returns.  Raises
-        :class:`ServiceOverloadedError` when the service-wide pending
-        budget is full (or, as :class:`~repro.errors.CircuitOpenError`,
-        when every shard breaker of the model is open and no stale cache
-        entry could answer), and :class:`UnknownModelError` for an
-        unregistered model name.  Shard-queue saturation is only
-        detectable at dispatch time (the batch holds other callers'
-        requests and may be cut by the deadline thread), so that flavour
-        of backpressure is delivered through the future: ``result()``
-        re-raises the :class:`ServiceOverloadedError` for every request of
-        the shed batch.  Callers should treat both paths as "retry later";
+        The signature is checked (zeros and ones, model width) and packed
+        once, here.  Cache hits resolve before this method returns.
+        Raises :class:`ServiceOverloadedError` when the pending budget is
+        full (or :class:`~repro.errors.CircuitOpenError` when every shard
+        breaker of the model is open and no stale entry answers), and
+        :class:`UnknownModelError` for an unregistered model.  Shard-queue
+        saturation is only detectable at dispatch time, so that
+        backpressure arrives through the future: ``result()`` re-raises
+        :class:`ServiceOverloadedError`.  Treat both as "retry later";
         :func:`repro.serve.streams.drive_streams` shows the pattern.
 
-        When ``config.retry`` is set, transient submit-time refusals are
-        retried here under jittered exponential backoff -- bounded by the
-        policy's ``max_attempts`` and by the request's deadline (the
-        service never sleeps past ``deadline_at``).  A refused submit
-        leaves no admitted state behind, so retries cannot stack orphaned
-        requests against the pending budget.
+        With ``config.retry`` set, submit-time refusals are retried under
+        jittered exponential backoff, bounded by ``max_attempts`` and by
+        the deadline.  A refused submit leaves no admitted state behind.
 
-        ``deadline_s`` (defaulting to ``config.default_deadline_s``) is
-        the caller's total latency budget: requests that exceed it are
-        shed with :class:`~repro.errors.DeadlineExceededError` at dispatch
-        or pre-kernel instead of consuming a kernel they can no longer
-        use.
+        ``deadline_s`` (default ``config.default_deadline_s``) is the
+        caller's latency budget: expired requests are shed with
+        :class:`~repro.errors.DeadlineExceededError` at dispatch or just
+        before the kernel.
         """
         if deadline_s is None:
             deadline_s = self.config.default_deadline_s
@@ -493,10 +466,10 @@ class StreamingInferenceService:
         model = self.registry.resolve(model)
         classifier = self.registry.classifier(model)  # raises UnknownModelError
         signature = np.asarray(signature)
-        # Validate and pack exactly once: the uint64 words are both the
-        # cache key (their raw bytes) and the shard's distance-kernel
-        # input, so the signature is never re-packed downstream.
-        packed = packed_signature_words(signature)  # validates the bit vector
+        # Check and pack exactly once: the uint64 words are both the cache
+        # key (their raw bytes) and the shard's kernel input, and the
+        # request keeps no other copy of the signature.
+        packed = packed_signature_words(signature)
         key = packed.tobytes()
         if signature.size != classifier.som.n_bits:
             raise ConfigurationError(
@@ -504,12 +477,11 @@ class StreamingInferenceService:
                 f"got {signature.size} bits"
             )
         now = self._clock()
-        with self._id_lock:
-            request_id = self._next_request_id
-            self._next_request_id += 1
+        request_id = next(self._request_ids)
         trace = self.obs.tracer.start(
             t=now, model=model, stream_id=stream_id, request_id=request_id
         )
+        identity = dict(model=model, stream_id=stream_id, request_id=request_id)
 
         try:
             outcome = self.cache.get(model, key)
@@ -520,29 +492,7 @@ class StreamingInferenceService:
             self.metrics.record_cache_error()
             outcome = None
         if outcome is not None:
-            self.metrics.record_request()
-            self.metrics.record_cache(hit=True)
-            pending = PendingResult()
-            response = ClassificationResponse(
-                label=outcome.label,
-                neuron=outcome.neuron,
-                distance=outcome.distance,
-                rejected=outcome.rejected,
-                confidence=outcome.confidence,
-                model=model,
-                stream_id=stream_id,
-                request_id=request_id,
-                cached=True,
-                latency_s=max(0.0, self._clock() - now),
-                trace_id=trace.trace_id if trace is not None else None,
-            )
-            if trace is not None:
-                done = now + response.latency_s
-                trace.span("cache", start=now, end=done, hit=True)
-                trace.finish("ok", t=done, cached=True, label=response.label)
-            pending.set_result(response)
-            self.metrics.record_response(response.latency_s)
-            return pending
+            return self._answer_cached(outcome, now, trace, stale=False, **identity)
 
         # Cross-request dedup: an identical packed signature already in
         # flight for this model answers us too.  The follower consumes no
@@ -552,39 +502,30 @@ class StreamingInferenceService:
             primary = self._inflight.get((model, key))
             if primary is not None:
                 follower = ClassificationRequest(
-                    signature=signature.astype(np.uint8, copy=True),
-                    model=model,
-                    stream_id=stream_id,
-                    request_id=request_id,
+                    packed=packed,
                     cache_key=key,
                     enqueued_at=now,
-                    packed=packed,
                     generation=primary.generation,
                     trace=trace,
+                    **identity,
                 )
                 if trace is not None:
                     # The follower never queues or reaches a shard; its one
                     # span records the coalesce and links to the primary's
                     # kernel span, which does the actual work.
                     span = trace.span(
-                        "dedup",
-                        start=now,
-                        end=self._clock(),
+                        "dedup", start=now, end=self._clock(),
                         primary_request_id=primary.request_id,
                     )
                     if primary.trace is not None:
-                        span.add_link(
-                            trace_id=primary.trace.trace_id, span="kernel"
-                        )
+                        span.add_link(trace_id=primary.trace.trace_id, span="kernel")
                 # Append last: once the follower is visible to the
                 # completion path its trace/span state must be final.
                 primary.followers.append(follower)
                 self.metrics.record_request()
                 self.metrics.record_dedup()
                 self.obs.events.emit(
-                    "dedup",
-                    model=model,
-                    request_id=request_id,
+                    "dedup", model=model, request_id=request_id,
                     primary_request_id=primary.request_id,
                 )
                 return follower.pending
@@ -598,39 +539,8 @@ class StreamingInferenceService:
                 # backs off until a half-open probe closes a breaker.
                 stale = self.cache.get_stale(model, key)
                 if stale is not None:
-                    self.metrics.record_request()
-                    self.metrics.record_stale_hit()
-                    self.obs.events.emit(
-                        "stale_hit", model=model, request_id=request_id
-                    )
-                    pending = PendingResult()
-                    response = ClassificationResponse(
-                        label=stale.label,
-                        neuron=stale.neuron,
-                        distance=stale.distance,
-                        rejected=stale.rejected,
-                        confidence=stale.confidence,
-                        model=model,
-                        stream_id=stream_id,
-                        request_id=request_id,
-                        cached=True,
-                        latency_s=max(0.0, self._clock() - now),
-                        stale=True,
-                        trace_id=trace.trace_id if trace is not None else None,
-                    )
-                    if trace is not None:
-                        done = now + response.latency_s
-                        trace.span("cache", start=now, end=done, hit=True, stale=True)
-                        trace.finish("ok", t=done, cached=True, stale=True)
-                    pending.set_result(response)
-                    self.metrics.record_response(response.latency_s)
-                    return pending
-                self.metrics.record_backpressure()
-                self.obs.events.emit(
-                    "shed", model=model, reason="circuit_open", count=1
-                )
-                if trace is not None:
-                    trace.finish("shed", reason="circuit_open")
+                    return self._answer_cached(stale, now, trace, stale=True, **identity)
+                self._refuse(trace, model, "circuit_open")
                 raise CircuitOpenError(
                     model,
                     open_shards=len(shard_names),
@@ -642,12 +552,7 @@ class StreamingInferenceService:
                 # Refused attempts count as backpressure only -- neither a
                 # request nor a cache miss -- so requests_total keeps the
                 # documented meaning of "requests accepted".
-                self.metrics.record_backpressure()
-                self.obs.events.emit(
-                    "shed", model=model, reason="pending_budget", count=1
-                )
-                if trace is not None:
-                    trace.finish("shed", reason="pending_budget")
+                self._refuse(trace, model, "pending_budget")
                 raise ServiceOverloadedError(
                     "service pending budget",
                     pending=self._pending,
@@ -656,18 +561,16 @@ class StreamingInferenceService:
             self._pending += 1
         self.metrics.record_request()
         self.metrics.record_cache(hit=False)
-
+        with self._gen_lock:
+            generation = self._generations.get(model, 0)
         request = ClassificationRequest(
-            signature=signature.astype(np.uint8, copy=True),
-            model=model,
-            stream_id=stream_id,
-            request_id=request_id,
+            packed=packed,
             cache_key=key,
             enqueued_at=now,
-            packed=packed,
-            generation=self._generation_of(model),
+            generation=generation,
             trace=trace,
             deadline_at=deadline_at,
+            **identity,
         )
         if trace is not None:
             trace.begin("queue", t=now)
@@ -678,19 +581,11 @@ class StreamingInferenceService:
         with self._state_lock:
             if not self._running:
                 # stop() won the race after the entry check: fail fast
-                # instead of stranding the request in a drained lane.
-                with self._pending_lock:
-                    self._pending -= 1
-                # Retire the dedup entry first: the follower list is frozen
-                # after this, so the fan-out below cannot miss a follower
-                # that attached between setdefault and the running check.
-                self._drop_inflight(request)
-                error = ServiceError(
-                    "the service is not running; call start() first"
-                )
-                self._finish_failed_traces(request, "error", error)
-                for follower in request.followers:
-                    follower.pending.set_exception(error)
+                # instead of stranding the request (and any follower that
+                # already coalesced onto it) in a drained lane.
+                error = ServiceError("the service is not running; call start() first")
+                batch = MicroBatch(model, (request,), capacity=1, flushed_by="drain")
+                self._fail(None, batch, error)
                 raise error
             full_batch = self.scheduler.submit(request)
             if full_batch is not None:
@@ -699,7 +594,59 @@ class StreamingInferenceService:
                 self._dispatch(full_batch)
         if full_batch is None:
             self._wake.set()
+        else:
+            # Hand the GIL to the shard this batch woke: a tight submit loop
+            # would otherwise keep it for a whole switch interval (5 ms) and
+            # fill every shard queue before any worker ran.
+            time.sleep(0)
         return request.pending
+
+    def _answer_cached(
+        self,
+        outcome: CachedOutcome,
+        now: float,
+        trace: Optional[Trace],
+        *,
+        stale: bool,
+        **identity,
+    ) -> PendingResult:
+        """Answer at submit time from the live or the stale cache tier.
+
+        No dedup entry or budget slot exists yet, so the terminal order is
+        just: finish the trace, record metrics and events, resolve."""
+        response = ClassificationResponse(
+            outcome.label, outcome.neuron, outcome.distance,
+            outcome.rejected, outcome.confidence,
+            cached=True,
+            latency_s=max(0.0, self._clock() - now),
+            stale=stale,
+            trace_id=trace.trace_id if trace is not None else None,
+            **identity,
+        )
+        flags = {"stale": True} if stale else {}
+        if trace is not None:
+            done = now + response.latency_s
+            trace.span("cache", start=now, end=done, hit=True, **flags)
+            trace.finish("ok", t=done, cached=True, label=response.label, **flags)
+        self.metrics.record_request()
+        if stale:
+            self.metrics.record_stale_hit()
+            self.obs.events.emit(
+                "stale_hit", model=response.model, request_id=response.request_id
+            )
+        else:
+            self.metrics.record_cache(hit=True)
+        self.metrics.record_response(response.latency_s)
+        pending = PendingResult()
+        pending.set_result(response)
+        return pending
+
+    def _refuse(self, trace: Optional[Trace], model: str, reason: str) -> None:
+        """Bookkeeping of a submit refused before admission (the caller raises)."""
+        if trace is not None:
+            trace.finish("shed", reason=reason)
+        self.metrics.record_backpressure()
+        self.obs.events.emit("shed", model=model, reason=reason, count=1)
 
     def submit_many(
         self,
@@ -726,11 +673,9 @@ class StreamingInferenceService:
         futures: list[PendingResult] = []
         try:
             for row in X:
-                futures.append(
-                    self.submit(
-                        row, model=model, stream_id=stream_id, deadline_s=deadline_s
-                    )
-                )
+                futures.append(self.submit(
+                    row, model=model, stream_id=stream_id, deadline_s=deadline_s
+                ))
         except ServiceOverloadedError:
             # Drain without flushing: the deadline dispatcher cuts the
             # orphans' lane within max_delay_ms, and a global flush here
@@ -761,10 +706,7 @@ class StreamingInferenceService:
         :meth:`submit_many`.
         """
         futures = self.submit_many(
-            X,
-            model=model,
-            stream_id=stream_id,
-            deadline_s=deadline_s,
+            X, model=model, stream_id=stream_id, deadline_s=deadline_s,
             drain_timeout_s=timeout,
         )
         return [future.result(timeout) for future in futures]
@@ -775,157 +717,89 @@ class StreamingInferenceService:
             self._dispatch(batch)
 
     # ------------------------------------------------------------------ #
-    # Dispatch and completion
+    # Dispatch and the terminal paths
     # ------------------------------------------------------------------ #
-    def _drop_inflight(self, request: ClassificationRequest) -> None:
-        """Retire one request from the dedup table (identity-checked).
-
-        After this, no further submit can coalesce onto it, so its
-        ``followers`` list is frozen and safe to iterate without the lock.
-        """
-        key = (request.model, request.cache_key)
-        with self._inflight_lock:
-            if self._inflight.get(key) is request:
-                del self._inflight[key]
-
-    def _finish_failed_traces(
-        self, request: ClassificationRequest, status: str, error: BaseException
-    ) -> None:
-        """Terminal spans for a failed request and its dedup followers.
-
-        Every error path ends sampled traces with a status (``"error"`` or
-        ``"shed"``) and the error type, so an evicted model's requests
-        still leave a complete, retrievable trace.
-        """
-        name = type(error).__name__
-        if request.trace is not None:
-            request.trace.finish(status, error=name)
-        for follower in request.followers:
-            if follower.trace is not None:
-                follower.trace.finish(status, error=name)
-
-    def _fail_batch(self, batch: MicroBatch, error: BaseException, *, shed: bool) -> None:
-        """Deliver ``error`` to a batch's futures (followers included).
-
-        Releases the batch's pending-budget slots; ``shed=True``
-        additionally counts the refusals as backpressure rejections.
-        """
-        if shed:
-            self.metrics.record_backpressure(len(batch))
-            self.obs.events.emit(
-                "shed", model=batch.model, reason="shard_queues", count=len(batch)
-            )
-        with self._pending_lock:
-            self._pending -= len(batch)
-        status = "shed" if shed else "error"
-        for request in batch.requests:
-            self._drop_inflight(request)
-            self._finish_failed_traces(request, status, error)
-            request.pending.set_exception(error)
-            for follower in request.followers:
-                follower.pending.set_exception(error)
-
-    def _shed_expired(self, batch: MicroBatch) -> None:
-        """Fail an expired sub-batch terminally (``deadline_exceeded``).
-
-        Releases the pending budget and retires dedup entries exactly like
-        the other failure paths, so a shed request can never wedge the
-        admission accounting.
-        """
-        error = DeadlineExceededError(batch.model)
-        self.metrics.record_deadline_exceeded(len(batch))
-        self.obs.events.emit(
-            "shed", model=batch.model, reason="deadline_exceeded", count=len(batch)
-        )
-        with self._pending_lock:
-            self._pending -= len(batch)
-        for request in batch.requests:
-            self._drop_inflight(request)
-            self._finish_failed_traces(request, "shed", error)
-            request.pending.set_exception(error)
-            for follower in request.followers:
-                follower.pending.set_exception(error)
-
     def _dispatch(self, batch: MicroBatch) -> None:
-        # First deadline shed: requests that expired while waiting for
-        # their batch to be cut never reach a shard queue.  (The shard
-        # sheds once more just before kernel launch.)
+        # First deadline shed, before the shard queue (the shard sheds
+        # again just before kernel launch).
         live, expired = batch.partition_expired(self._clock())
         if expired is not None:
-            self._shed_expired(expired)
+            self._fail(None, expired, DeadlineExceededError(batch.model))
         if live is None:
             return
-        batch = live
-        self.metrics.record_batch(len(batch), batch.fill_fraction)
-        for request in batch.requests:
+        self.metrics.record_batch(len(live), live.fill_fraction)
+        for request in live.requests:
             if request.trace is not None:
                 # The batch-cut timestamp is the queue/batch boundary: the
                 # request stopped waiting for peers and started waiting for
                 # a shard.  The shard ends the batch span at kernel start.
-                request.trace.end("queue", t=batch.cut_at)
-                request.trace.begin("batch", t=batch.cut_at)
+                request.trace.end("queue", t=live.cut_at)
+                request.trace.begin("batch", t=live.cut_at)
         try:
-            self.registry.submit(batch)
-        except ServiceOverloadedError as error:
-            # Shard queues saturated: shed the whole batch back to callers,
-            # counting one rejection per refused request.
-            self._fail_batch(batch, error, shed=True)
-        except BaseException as error:
-            self._fail_batch(batch, error, shed=False)
+            self.registry.submit(live)
+        except BaseException as error:  # saturated queues shed, the rest fail
+            self._fail(None, live, error)
+
+    def _retire(self, requests: Sequence[ClassificationRequest]) -> None:
+        """Retire requests from the dedup table (identity-checked).
+
+        After this no submit can coalesce onto them, so each request's
+        ``followers`` list is frozen and safe to iterate without the lock.
+        """
+        with self._inflight_lock:
+            for request in requests:
+                key = (request.model, request.cache_key)
+                if self._inflight.get(key) is request:
+                    del self._inflight[key]
+
+    def _release(self, count: int) -> None:
+        with self._pending_lock:
+            self._pending -= count
 
     def _on_batch_done(
         self, shard: WorkerShard, batch: MicroBatch, prediction: BatchPrediction
     ) -> None:
-        # Retire the dedup entries first: once an entry is gone no new
-        # follower can attach, so each request's follower list is final by
-        # the time it is resolved below.
-        for request in batch.requests:
-            self._drop_inflight(request)
-        # Finish sampled traces *before* resolving futures: a caller woken
-        # by result() can immediately retrieve its complete trace by id.
-        for row, request in enumerate(batch.requests):
-            label = int(prediction.labels[row])
-            if request.trace is not None:
-                request.trace.finish("ok", label=label)
-            for follower in request.followers:
-                if follower.trace is not None:
-                    follower.trace.finish("ok", label=label, deduplicated=True)
-        responses = resolve_requests(batch.requests, prediction, clock=self._clock)
+        """Success path: answer a classified batch and its followers."""
+        requests = batch.requests
+        self._retire(requests)
+        responses = resolve_requests(requests, prediction, clock=self._clock)
+        answers = list(zip(requests, responses))
+        answers += [
+            (follower, resolve_follower(follower, response, clock=self._clock))
+            for request, response in zip(requests, responses)
+            for follower in request.followers
+        ]
+        for waiter, response in answers:
+            if waiter.trace is not None:
+                flags = {"deduplicated": True} if response.deduplicated else {}
+                waiter.trace.finish("ok", label=response.label, **flags)
+        self._release(len(requests))
         if self._board is not None:
             self._board.record(batch.model, shard.name, ok=True)
-        with self._pending_lock:
-            self._pending -= len(batch)
-        for request, response in zip(batch.requests, responses):
+        for _, response in answers:
             self.metrics.record_response(response.latency_s)
-            for follower in request.followers:
-                fanned = resolve_follower(follower, response, clock=self._clock)
-                self.metrics.record_response(fanned.latency_s)
-        # Memoise under the generation lock: a request stamped with the
-        # model's current generation was classified by the current map (a
-        # swap bumps the generation only after the shards have flipped), so
-        # checking inside the lock guarantees no superseded outcome is
-        # written after swap_model's cache invalidation ran.
+        # Memoise before answering, so a caller that resubmits the moment
+        # it is woken hits the cache.  Under the generation lock: a swap
+        # bumps the generation only after the shards flipped, so a request
+        # stamped with the current one was scored by the current map and no
+        # superseded outcome is written after the swap's invalidation ran.
         with self._gen_lock:
             current = self._generations.get(batch.model, 0)
-            for request, response in zip(batch.requests, responses):
+            for request, response in zip(requests, responses):
                 if request.generation != current:
                     continue
+                outcome = CachedOutcome(
+                    response.label, response.neuron, response.distance,
+                    response.rejected, response.confidence,
+                )
                 try:
-                    self.cache.put(
-                        request.model,
-                        request.cache_key,
-                        CachedOutcome(
-                            label=response.label,
-                            neuron=response.neuron,
-                            distance=response.distance,
-                            rejected=response.rejected,
-                            confidence=response.confidence,
-                        ),
-                    )
+                    self.cache.put(request.model, request.cache_key, outcome)
                 except Exception:
                     # A cache write fault loses a memoisation, nothing
-                    # else: the response was already delivered above.
+                    # else: the response is still delivered below.
                     self.metrics.record_cache_error()
+        for waiter, response in answers:
+            waiter.pending.set_result(response)
         if self._rollout is not None:
             # Shadow mirroring runs dead last: every caller already has its
             # answer, so a slow (or crashing) candidate cannot touch the
@@ -935,41 +809,49 @@ class StreamingInferenceService:
             except Exception:  # pragma: no cover - mirroring must not fail
                 pass
 
-    def _on_batch_failed(
-        self, shard: WorkerShard, batch: MicroBatch, error: BaseException
+    def _fail(
+        self, shard: Optional[WorkerShard], batch: MicroBatch, error: BaseException
     ) -> None:
-        # The shard already delivered `error` to every primary future;
-        # release the pending-budget slots so a failing model cannot
-        # permanently exhaust max_pending, and fan the error out to any
-        # deduplicated followers.
-        deadline = isinstance(error, DeadlineExceededError)
-        if deadline:
-            # The shard's pre-kernel shed: account it as a deadline shed,
-            # not a model failure.
-            self.metrics.record_deadline_exceeded(len(batch))
+        """The one failure path: end ``batch`` and its followers with ``error``.
+
+        The registry calls it as the shards' failure hook (kernel raise,
+        pre-kernel deadline, cancelled queue, abandoned worker); the
+        service calls it with ``shard=None`` (dispatch-time deadline,
+        saturated shard queues, lane eviction, the stop race).  Deadline
+        errors and saturated queues at dispatch are sheds; the rest are
+        errors.
+        """
+        if isinstance(error, DeadlineExceededError):
+            reason: Optional[str] = "deadline_exceeded"
+        elif shard is None and isinstance(error, ServiceOverloadedError):
+            reason = "shard_queues"
+        else:
+            reason = None
+        requests = batch.requests
+        self._retire(requests)
+        status = "error" if reason is None else "shed"
+        for request in requests:
+            for waiter in (request, *request.followers):
+                if waiter.trace is not None:
+                    waiter.trace.finish(status, error=type(error).__name__)
+        self._release(len(requests))
+        if reason is not None:
+            if reason == "deadline_exceeded":
+                self.metrics.record_deadline_exceeded(len(requests))
+            else:
+                self.metrics.record_backpressure(len(requests))
             self.obs.events.emit(
-                "shed",
-                model=batch.model,
-                reason="deadline_exceeded",
-                count=len(batch),
+                "shed", model=batch.model, reason=reason, count=len(requests)
             )
-        with self._pending_lock:
-            self._pending -= len(batch)
-        status = "shed" if deadline else "error"
-        for request in batch.requests:
-            self._drop_inflight(request)
-            self._finish_failed_traces(request, status, error)
-            for follower in request.followers:
-                if not follower.pending.done():
-                    follower.pending.set_exception(error)
-        if self._board is not None and not isinstance(
-            error, (ModelEvictedError, DeadlineExceededError, ShardFailedError)
+        elif (
+            shard is not None
+            and self._board is not None
+            and not isinstance(error, (ModelEvictedError, ShardFailedError))
         ):
-            # Kernel failures feed the breaker; evictions and deadline
-            # sheds say nothing about shard health, and shard deaths are
-            # recorded by the supervisor's restart hook (the failure
-            # callback may fire against a replacement-owned queue).
+            # Kernel failures feed the breaker.  Evictions say nothing about
+            # shard health; the supervisor's restart hook records deaths.
             self._board.record(batch.model, shard.name, ok=False)
+        fail_requests(requests, error)
 
     def _on_shard_restart(self, model: str, shard_name: str, reason: str) -> None:
         """Supervisor hook: a dead/wedged worker was replaced."""

@@ -1,9 +1,9 @@
 """Worker shards: thread-backed batch executors behind each model.
 
 A shard owns a bounded queue of micro-batches and a worker thread that
-classifies each batch in one :meth:`SomClassifier.predict_batch` call.  A
-:class:`ShardGroup` fronts the N shards of one model and picks a shard per
-batch using one of two routing policies:
+classifies each batch in one :meth:`SomClassifier.predict_batch_packed`
+call.  A :class:`ShardGroup` fronts the N shards of one model and picks a
+shard per batch using one of two routing policies:
 
 * ``round_robin`` -- rotate through the shards, skipping full queues, and
 * ``least_loaded`` -- send the batch to the shard with the smallest load
@@ -18,15 +18,18 @@ is open, and raises :class:`~repro.errors.CircuitOpenError` when *every*
 shard of the model is gated off.
 
 Shards deliberately do not resolve request futures themselves: they hand
-``(batch, BatchPrediction)`` to a completion callback supplied by the
-service, which owns the cache and the metrics.  That keeps the shard loop
-model-only and lets tests drive a shard without a full service around it.
+``(batch, BatchPrediction)`` to a completion callback and
+``(batch, error)`` to a failure callback, both supplied by the service,
+which owns the futures, the cache and the metrics.  That keeps the shard
+loop model-only and lets tests drive a shard without a full service
+around it.  The one exception is the safety net for a completion
+callback that raises.
 
 Supervision protocol
 --------------------
 Python threads cannot be killed, so a wedged worker (hung kernel) is
-*abandoned*, not stopped: the supervisor takes the in-flight batch, fails
-its futures terminally, bumps the shard's **epoch**, and starts a
+*abandoned*, not stopped: the supervisor takes the in-flight batch, hands
+it to the failure callback, bumps the shard's **epoch**, and starts a
 replacement thread on the same queue.  Two rules keep that race-free:
 
 * the worker **claims** its batch (:meth:`WorkerShard._claim`, under the
@@ -54,6 +57,7 @@ from repro.errors import (
     ServiceOverloadedError,
 )
 from repro.serve.batching import MicroBatch
+from repro.serve.request import fail_requests
 from repro.serve.resilience import (
     KERNEL_HANG,
     KERNEL_RAISE,
@@ -68,13 +72,18 @@ logger = logging.getLogger(__name__)
 #: Signature of the completion callback shards invoke after each batch.
 CompletionCallback = Callable[["WorkerShard", MicroBatch, BatchPrediction], None]
 
-#: Signature of the failure callback invoked when classification raises.
+#: Signature of the failure callback that fails a batch's futures.
 FailureCallback = Callable[["WorkerShard", MicroBatch, BaseException], None]
 
 #: Signature of the breaker gate the router consults per (model, shard).
 BreakerGate = Callable[[str, str], bool]
 
 _ROUTING_POLICIES = ("round_robin", "least_loaded")
+
+
+def _fail_batch(shard: "WorkerShard", batch: MicroBatch, error: BaseException) -> None:
+    """Default failure callback of a shard used without a service."""
+    fail_requests(batch.requests, error)
 
 
 class WorkerShard:
@@ -88,13 +97,13 @@ class WorkerShard:
     classifier:
         The fitted classifier replica this shard scores batches with.
     completion:
-        Called with ``(shard, batch, prediction)`` after each batch; errors
-        during classification are delivered to the batch's futures instead.
+        Called with ``(shard, batch, prediction)`` after each batch.
     failure:
-        Called with ``(shard, batch, error)`` after classification raises
-        (the futures have already received the error); the service uses it
-        to release the batch's pending-budget slots so a failing model
-        cannot permanently exhaust ``max_pending``.
+        Called with ``(shard, batch, error)`` for every batch that will not
+        be classified: the kernel raised, the batch expired before launch,
+        it was cancelled from the queue, or its worker was abandoned.  It
+        owns the batch's futures (the service also releases their
+        pending-budget slots); the default just fails them.
     queue_capacity:
         Maximum queued batches before :meth:`try_submit` refuses.
     clock:
@@ -124,7 +133,7 @@ class WorkerShard:
         self.name = name
         self.classifier = classifier
         self._completion = completion
-        self._failure = failure
+        self._failure = failure or _fail_batch
         self._clock = clock
         self._injector = fault_injector
         self._queue: "queue.Queue[Optional[MicroBatch]]" = queue.Queue(
@@ -212,9 +221,8 @@ class WorkerShard:
     def abandon_current(self, error: BaseException) -> int:
         """Fail the in-flight batch and invalidate the current worker.
 
-        The supervisor calls this for a dead or wedged worker: the batch's
-        futures become terminal with ``error``, the failure callback runs
-        (releasing the service's pending budget), and the epoch bump makes
+        The supervisor calls this for a dead or wedged worker: the failure
+        callback fails the batch with ``error``, and the epoch bump makes
         any late delivery attempt by the old worker a no-op.  Returns the
         number of requests failed.
         """
@@ -226,10 +234,7 @@ class WorkerShard:
             self._epoch += 1
         if batch is None:
             return 0
-        for request in batch.requests:
-            request.pending.set_exception(error)
-        if self._failure is not None:
-            self._failure(self, batch, error)
+        self._failure(self, batch, error)
         return len(batch)
 
     def disable(self, error: BaseException) -> None:
@@ -308,10 +313,7 @@ class WorkerShard:
             if batch is None:
                 self._queue.put(None)
                 continue
-            for request in batch.requests:
-                request.pending.set_exception(error)
-            if self._failure is not None:
-                self._failure(self, batch, error)
+            self._failure(self, batch, error)
             cancelled += len(batch)
         return cancelled
 
@@ -383,11 +385,7 @@ class WorkerShard:
                     if epoch != self._epoch:
                         return False
                     self._current_batch = live
-                error = DeadlineExceededError(batch.model)
-                for request in expired.requests:
-                    request.pending.set_exception(error)
-                if self._failure is not None:
-                    self._failure(self, expired, error)
+                self._failure(self, expired, DeadlineExceededError(batch.model))
                 if live is None:
                     with self._lock:
                         if epoch == self._epoch:
@@ -399,10 +397,7 @@ class WorkerShard:
         except BaseException as error:  # deliver, never kill the worker
             if not self._claim(live, epoch):
                 return False
-            for request in live.requests:
-                request.pending.set_exception(error)
-            if self._failure is not None:
-                self._failure(self, live, error)
+            self._failure(self, live, error)
             return True
         self.processed_batches += 1
         self.processed_requests += len(live)
@@ -424,14 +419,12 @@ class WorkerShard:
         return True
 
     def _classify(self, batch: MicroBatch) -> BatchPrediction:
-        """Score one micro-batch, preferring the zero-copy packed path.
+        """Score one micro-batch from its requests' packed words.
 
-        When every request carries its submit-time ``uint64`` words, the
-        stacked words go straight to ``predict_batch_packed`` and the bSOM
-        scores them against its cached bit-planes -- no re-packing, no
-        re-validation.  Mixed or unpacked batches fall back to stacking the
-        raw signatures; those were validated at ``submit`` time too, so the
-        zeros-and-ones scan is skipped either way.
+        The stacked submit-time ``uint64`` words go straight to
+        ``predict_batch_packed``: the bSOM scores them against its cached
+        bit-planes (no re-packing, no re-check), and maps without a packed
+        query path unpack them first.
 
         ``self.classifier`` is read exactly once per batch: a hot-swap
         (:meth:`ShardGroup.swap_classifier`) rebinding it mid-queue takes
@@ -452,12 +445,9 @@ class WorkerShard:
         classifier = self.classifier
         traced = [r.trace for r in batch.requests if r.trace is not None]
         kernel_start = self._clock() if traced else 0.0
-        rows = [request.packed for request in batch.requests]
-        if rows and all(row is not None for row in rows):
-            prediction = classifier.predict_batch_packed(np.vstack(rows))
-        else:
-            signatures = np.vstack([request.signature for request in batch.requests])
-            prediction = classifier.predict_batch(signatures, validate=False)
+        prediction = classifier.predict_batch_packed(
+            np.vstack([request.packed for request in batch.requests])
+        )
         if traced:
             kernel_end = self._clock()
             som = classifier.som

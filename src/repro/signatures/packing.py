@@ -7,6 +7,10 @@ between the three representations used throughout the library:
 * an unpacked ``uint8`` vector of zeros and ones (the software view),
 * a packed ``uint8`` byte array (the storage / BlockRAM view), and
 * a 2-D binary image (the camera-interface / VGA-display view).
+
+Every public helper here checks its input once, with the library's single
+O(n) zeros-and-ones test (:func:`repro.core.tristate.only_states`); none of
+them offers a way to skip it.
 """
 
 from __future__ import annotations
@@ -14,35 +18,31 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.backends import pack_bits_to_words
+from repro.core.tristate import only_states
 from repro.errors import DataError
 
 #: Default image shape the FPGA design streams signatures as (width x height).
 SIGNATURE_IMAGE_SHAPE = (24, 32)  # rows, columns -> 768 bits
 
 
-def _validate_bits(bits: np.ndarray, *, validate: bool = True) -> np.ndarray:
+def _validate_bits(bits: np.ndarray) -> np.ndarray:
     bits = np.asarray(bits)
     if bits.ndim != 1:
         raise DataError(f"expected a one-dimensional bit vector, got shape {bits.shape}")
     if bits.size == 0:
         raise DataError("bit vector must not be empty")
-    if validate:
-        values = np.unique(bits)
-        if not np.all(np.isin(values, (0, 1))):
-            raise DataError("bit vector must contain only zeros and ones")
+    if not only_states(bits, 1):
+        raise DataError("bit vector must contain only zeros and ones")
     return bits.astype(np.uint8)
 
 
-def pack_bits(bits: np.ndarray, *, validate: bool = True) -> np.ndarray:
+def pack_bits(bits: np.ndarray) -> np.ndarray:
     """Pack a vector of zeros and ones into bytes (big-endian within a byte).
 
     The packed form is what the BlockRAM model in :mod:`repro.hw` stores:
-    768 bits fit in 96 bytes per neuron.  ``validate=False`` skips the
-    O(n log n) zeros-and-ones scan for callers that validated the bits at
-    the API boundary already.
+    768 bits fit in 96 bytes per neuron.
     """
-    bits = _validate_bits(bits, validate=validate)
-    return np.packbits(bits)
+    return np.packbits(_validate_bits(bits))
 
 
 def unpack_bits(packed: np.ndarray, length: int) -> np.ndarray:
@@ -58,7 +58,7 @@ def unpack_bits(packed: np.ndarray, length: int) -> np.ndarray:
     return bits[:length].astype(np.uint8)
 
 
-def pack_signature_batch(bits: np.ndarray, *, validate: bool = True) -> np.ndarray:
+def pack_signature_batch(bits: np.ndarray) -> np.ndarray:
     """Pack a ``(n_samples, n_bits)`` binary matrix row-wise into bytes.
 
     The batched counterpart of :func:`pack_bits`: one ``packbits`` call
@@ -73,12 +73,12 @@ def pack_signature_batch(bits: np.ndarray, *, validate: bool = True) -> np.ndarr
         raise DataError(f"expected a 2-D bit matrix, got shape {bits.shape}")
     if bits.size == 0:
         raise DataError("bit matrix must not be empty")
-    if validate and not np.all(np.isin(np.unique(bits), (0, 1))):
+    if not only_states(bits, 1):
         raise DataError("bit matrix must contain only zeros and ones")
     return np.packbits(bits.astype(np.uint8), axis=1)
 
 
-def signature_key(bits: np.ndarray, *, validate: bool = True) -> bytes:
+def signature_key(bits: np.ndarray) -> bytes:
     """Compact, hashable identity of one signature: its packed bytes.
 
     Two signatures share a key exactly when they are bit-for-bit equal, so
@@ -93,10 +93,10 @@ def signature_key(bits: np.ndarray, *, validate: bool = True) -> bytes:
     forms are injective over equal-length signatures, and for 768-bit
     signatures (96 bytes = 12 words exactly) they are byte-identical.
     """
-    return pack_bits(bits, validate=validate).tobytes()
+    return pack_bits(bits).tobytes()
 
 
-def packed_signature_words(bits: np.ndarray, *, validate: bool = True) -> np.ndarray:
+def packed_signature_words(bits: np.ndarray) -> np.ndarray:
     """Validate once, pack once: one signature as ``uint64`` words.
 
     The serving layer's submit path derives *both* artefacts it needs from
@@ -106,8 +106,7 @@ def packed_signature_words(bits: np.ndarray, *, validate: bool = True) -> np.nda
     therefore validated and packed exactly once per request, instead of
     once per lookup plus once per classification.
     """
-    bits = _validate_bits(bits, validate=validate)
-    return pack_bits_to_words(bits)
+    return pack_bits_to_words(_validate_bits(bits))
 
 
 def signature_to_image(

@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.tristate import only_states
 from repro.errors import DataError
 from repro.signatures.binarize import ThresholdStrategy, binarize_histogram
 from repro.signatures.histogram import HISTOGRAM_BINS, rgb_histogram
@@ -53,7 +54,7 @@ class BinarySignature:
             raise DataError(
                 f"signature bits must be a non-empty 1-D vector, got shape {bits.shape}"
             )
-        if not np.all(np.isin(np.unique(bits), (0, 1))):
+        if not only_states(bits, 1):
             raise DataError("signature bits must contain only zeros and ones")
         bits = bits.astype(np.uint8).copy()
         bits.setflags(write=False)

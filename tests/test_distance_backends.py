@@ -268,8 +268,9 @@ class TestClassifierPackedPath:
 
 class TestValidationFastPath:
     def test_boundary_still_rejects_garbage(self):
-        from repro.core.distance import pairwise_masked_hamming
-        from repro.signatures.packing import pack_bits
+        from repro.core.distance import batch_masked_hamming, pairwise_masked_hamming
+        from repro.core.som import validate_binary_matrix
+        from repro.signatures.packing import pack_bits, packed_signature_words
 
         weights = np.zeros((2, 8), dtype=np.int8)
         bad = np.full((1, 8), 7)
@@ -277,14 +278,14 @@ class TestValidationFastPath:
             pairwise_masked_hamming(weights, bad)
         with pytest.raises(DataError):
             pack_bits(np.full(8, 9))
-
-    def test_fast_path_skips_the_scan(self):
-        from repro.core.distance import pairwise_masked_hamming
-
-        rng = np.random.default_rng(1)
-        weights = rng.integers(0, 3, size=(4, 16), dtype=np.int8)
-        inputs = rng.integers(0, 2, size=(6, 16), dtype=np.int8)
-        assert np.array_equal(
-            pairwise_masked_hamming(weights, inputs),
-            pairwise_masked_hamming(weights, inputs, validate=False),
-        )
+        for value in (-1, 0.5, np.nan):
+            row = np.zeros(8)
+            row[3] = value
+            with pytest.raises(DataError):
+                pairwise_masked_hamming(weights, row[np.newaxis, :])
+            with pytest.raises(DataError):
+                batch_masked_hamming(weights, row)
+            with pytest.raises(DataError):
+                validate_binary_matrix(row[np.newaxis, :])
+            with pytest.raises(DataError):
+                packed_signature_words(row)

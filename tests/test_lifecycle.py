@@ -40,6 +40,7 @@ from repro.serve import (
 )
 from repro.serve.batching import MicroBatch
 from repro.serve.request import ClassificationRequest
+from repro.signatures.packing import packed_signature_words
 
 
 def _fit(X, y, *, n_neurons=16, seed=1, epochs=6, **kwargs):
@@ -50,7 +51,7 @@ def _fit(X, y, *, n_neurons=16, seed=1, epochs=6, **kwargs):
 
 def _direct_batch(model, signature, request_id=0):
     request = ClassificationRequest(
-        signature=np.asarray(signature, dtype=np.uint8),
+        packed=packed_signature_words(signature),
         model=model,
         stream_id="cam",
         request_id=request_id,

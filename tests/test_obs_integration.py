@@ -9,6 +9,8 @@ bounded under load.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,19 @@ class TestLifecycleTraces:
 class TestRingAndExport:
     def test_completed_ring_bounded_under_load(self, trained_bsom_classifier):
         obs = Observability(sample_every=1, trace_capacity=8)
+        # Record the order traces reach the ring.  With two shards the last
+        # batches can finish out of submit order, so "newest" means most
+        # recently finished; the lock keeps this list in ring order.
+        finished: list[int] = []
+        order_lock = threading.Lock()
+        complete = obs.tracer._complete
+
+        def recording_complete(trace):
+            with order_lock:
+                complete(trace)
+                finished.append(trace.trace_id)
+
+        obs.tracer._complete = recording_complete
         config = ServiceConfig(batch_size=16, max_delay_ms=2.0)
         service = StreamingInferenceService(config=config, obs=obs)
         service.register_model("m", trained_bsom_classifier)
@@ -212,16 +227,18 @@ class TestRingAndExport:
         assert obs.tracer.completed_count == 8
         assert obs.tracer.dropped_traces == 100 - 8
         assert obs.tracer.active_count == 0
-        # The ring keeps the newest traces; the oldest ids are gone.
-        kept_ids = {trace.trace_id for trace in obs.tracer.completed()}
-        assert kept_ids == {response.trace_id for response in responses[-8:]}
+        assert sorted(finished) == sorted(r.trace_id for r in responses)
+        # The ring keeps the newest traces, in order; the oldest are gone.
+        kept_ids = [trace.trace_id for trace in obs.tracer.completed()]
+        assert kept_ids == finished[-8:]
         assert obs.trace(responses[0].trace_id) is None
 
     def test_service_registry_renders_prometheus_with_p999(self, traced_service, cluster_data):
         X, _ = cluster_data
-        for index in range(20):
-            traced_service.submit(X[index], model="m")
-        traced_service.flush()
+        futures = [traced_service.submit(X[index], model="m") for index in range(20)]
+        traced_service.flush()  # dispatches only; wait for the answers
+        for future in futures:
+            future.result(5.0)
         snapshot = traced_service.metrics_snapshot()
         assert snapshot.responses_total >= 1
         assert (

@@ -35,6 +35,7 @@ from repro.serve import (
 from repro.serve.request import ClassificationRequest, PendingResult
 from repro.serve.shard import ShardGroup
 from repro.signatures import signature_key
+from repro.signatures.packing import packed_signature_words
 
 
 class FakeClock:
@@ -53,7 +54,7 @@ class FakeClock:
 def _request(model: str = "m", bits: int = 16, fill: int = 0) -> ClassificationRequest:
     signature = np.full(bits, fill % 2, dtype=np.uint8)
     return ClassificationRequest(
-        signature=signature,
+        packed=packed_signature_words(signature),
         model=model,
         stream_id="cam",
         request_id=fill,
@@ -312,7 +313,7 @@ class TestBackpressure:
         X, y = cluster_data
 
         class ExplodingClassifier(SomClassifier):
-            def predict_batch(self, batch, *, validate=True):
+            def predict_batch(self, batch):
                 raise RuntimeError("boom")
 
             def predict_batch_packed(self, input_words):
